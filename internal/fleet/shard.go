@@ -4,68 +4,9 @@ import (
 	"strconv"
 	"time"
 
+	"vqprobe/internal/eventq"
 	"vqprobe/internal/serve"
 )
-
-// shardEvent is one pending wake-up of a live session slot.
-type shardEvent struct {
-	at   int64 // time.Duration, kept raw for compact comparisons
-	slot int32
-}
-
-// eventHeap is a hand-rolled binary min-heap over shardEvents —
-// container/heap would box every Push/Pop through an interface, and at
-// tens of events per session across a million sessions that garbage
-// dominates the run. Ordering is by time with slot as the tie-break,
-// so pop order is fully deterministic.
-type eventHeap []shardEvent
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].slot < h[j].slot
-}
-
-func (h *eventHeap) push(e shardEvent) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() shardEvent {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	*h = q[:n]
-	q = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && q.less(l, s) {
-			s = l
-		}
-		if r < n && q.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q[i], q[s] = q[s], q[i]
-		i = s
-	}
-	return top
-}
 
 // shard is one event loop of the fleet: it owns MaxLive pooled session
 // slots, a wake-up heap multiplexing the live set, and its private
@@ -79,7 +20,7 @@ type shard struct {
 	agg   *Aggregator
 	slots []session
 	free  []int32
-	heap  eventHeap
+	heap  eventq.Heap // wake-ups keyed (time, slot): slot is the tie-break
 
 	// engine-feeding batch buffers (nil engine leaves them unused)
 	batchReqs []serve.Request
@@ -97,7 +38,7 @@ func newShard(id int, cfg *Config) *shard {
 		agg:   NewAggregator(cfg.Horizon, cfg.Window),
 		slots: make([]session, cfg.MaxLive),
 		free:  make([]int32, 0, cfg.MaxLive),
-		heap:  make(eventHeap, 0, cfg.MaxLive),
+		heap:  eventq.New(cfg.MaxLive),
 	}
 	for i := cfg.MaxLive - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))
@@ -129,27 +70,34 @@ func (s *shard) run() {
 			s.free = s.free[:len(s.free)-1]
 			sess := &s.slots[slot]
 			sess.reset(s.cfg, next)
-			s.heap.push(shardEvent{at: int64(sess.firstEvent()), slot: slot})
+			s.wake(sess.firstEvent(), slot)
 			next += stride
 			live++
 			if live > s.maxLive {
 				s.maxLive = live
 			}
 		}
-		if len(s.heap) == 0 {
+		if s.heap.Len() == 0 {
 			break
 		}
-		ev := s.heap.pop()
-		sess := &s.slots[ev.slot]
-		if at := sess.step(time.Duration(ev.at)); at > 0 {
-			s.heap.push(shardEvent{at: int64(at), slot: ev.slot})
+		ev := s.heap.Pop()
+		sess := &s.slots[ev.Slot]
+		if at := sess.step(time.Duration(ev.At)); at > 0 {
+			s.wake(at, ev.Slot)
 			continue
 		}
-		s.retire(ev.slot)
-		s.free = append(s.free, ev.slot)
+		s.retire(ev.Slot)
+		s.free = append(s.free, ev.Slot)
 		live--
 	}
 	s.flushDiag()
+}
+
+// wake queues slot's next step at t. A slot has at most one pending
+// wake-up, so (t, slot) keys are distinct and ordering by time with the
+// slot as tie-break makes pop order fully deterministic.
+func (s *shard) wake(t time.Duration, slot int32) {
+	s.heap.Push(eventq.Entry{At: int64(t), Seq: uint64(slot), Slot: slot})
 }
 
 // retire summarizes a finished slot and feeds it to the aggregator —

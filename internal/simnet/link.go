@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"vqprobe/internal/eventq"
 )
 
 // LinkConfig describes one direction of a link. A duplex link is built
@@ -64,10 +66,18 @@ type linkDir struct {
 	// (wireless channel errors); subject to link-layer retries.
 	perTryLossFn func(now time.Duration) float64
 
-	queue  []*Packet
+	queue  ring[*Packet] // FIFO; queue.front() is in service while busy
 	qBytes int
 	busy   bool
+	lost   bool // the packet in service will not survive the channel
 	stats  DirStats
+
+	// inflight holds packets that have left the queue and await
+	// delivery, oldest first. Only its head is in the simulator's
+	// queue, under the key it was given when scheduled; see deliverHead.
+	inflight ring[flight]
+	// The direction's two permanent simulator slots.
+	serviceSlot, deliverSlot int32
 
 	// lastDelivery enforces FIFO delivery despite per-packet jitter: a
 	// wire does not reorder. (netem's jitter famously does reorder,
@@ -112,11 +122,18 @@ func Connect(sim *Sim, name string, a, b *NIC, cfgAB, cfgBA LinkConfig) *Link {
 	normalize(&cfgAB)
 	normalize(&cfgBA)
 	l := &Link{sim: sim, name: name}
-	l.dirs[AtoB] = &linkDir{link: l, cfg: cfgAB, dst: b}
-	l.dirs[BtoA] = &linkDir{link: l, cfg: cfgBA, dst: a}
+	l.dirs[AtoB] = newLinkDir(l, cfgAB, b)
+	l.dirs[BtoA] = newLinkDir(l, cfgBA, a)
 	a.link, a.linkDir = l, l.dirs[AtoB]
 	b.link, b.linkDir = l, l.dirs[BtoA]
 	return l
+}
+
+func newLinkDir(l *Link, cfg LinkConfig, dst *NIC) *linkDir {
+	d := &linkDir{link: l, cfg: cfg, dst: dst}
+	d.serviceSlot = l.sim.alloc(slot{kind: kindService, dir: d})
+	d.deliverSlot = l.sim.alloc(slot{kind: kindDeliver, dir: d})
+	return d
 }
 
 // ConnectSym creates a duplex link with the same config in both
@@ -259,7 +276,7 @@ func (d *linkDir) enqueue(pkt *Packet) {
 		}
 		return
 	}
-	d.queue = append(d.queue, pkt)
+	d.queue.push(pkt)
 	d.qBytes += pkt.Size()
 	d.stats.Enqueued++
 	if tr.Enabled() {
@@ -273,7 +290,7 @@ func (d *linkDir) enqueue(pkt *Packet) {
 // startService begins transmitting the head-of-line packet.
 func (d *linkDir) startService() {
 	d.busy = true
-	pkt := d.queue[0]
+	pkt := d.queue.front()
 	sim := d.link.sim
 	now := sim.Now()
 
@@ -309,34 +326,78 @@ func (d *linkDir) startService() {
 		}
 	}
 
-	sim.After(total, func() {
-		// Packet leaves the queue whether or not it survived.
-		d.queue = d.queue[1:]
-		d.qBytes -= pkt.Size()
+	d.lost = lost
+	sim.push(now+total, d.serviceSlot)
+	sim.live++
+}
 
-		if d.link.down || lost {
-			d.stats.ChannelLoss++
-			if tr := sim.tracer; tr.Enabled() {
-				tr.Instant("net", "channel_loss", fmt.Sprintf("link=%s #%d %s", d.link.name, pkt.ID, pkt.Flow), 0)
-			}
-		} else {
-			d.stats.TxPackets++
-			d.stats.TxBytes += int64(pkt.Size())
-			latency := d.cfg.Delay + d.jitter() + d.crossQueueDelay(sim.Now())
-			deliverAt := sim.Now() + latency
-			if deliverAt < d.lastDelivery {
-				deliverAt = d.lastDelivery // FIFO: no reordering on a wire
-			}
-			d.lastDelivery = deliverAt
-			dst := d.dst
-			sim.At(deliverAt, func() { dst.receive(pkt) })
+// serviceDone completes the transmission of the head-of-line packet.
+// It runs when the key startService pushed pops.
+func (d *linkDir) serviceDone() {
+	sim := d.link.sim
+	sim.live--
+	// Packet leaves the queue whether or not it survived.
+	pkt := d.queue.pop()
+	d.qBytes -= pkt.Size()
+
+	if d.link.down || d.lost {
+		d.stats.ChannelLoss++
+		if tr := sim.tracer; tr.Enabled() {
+			tr.Instant("net", "channel_loss", fmt.Sprintf("link=%s #%d %s", d.link.name, pkt.ID, pkt.Flow), 0)
 		}
-		if len(d.queue) > 0 {
-			d.startService()
-		} else {
-			d.busy = false
+	} else {
+		d.stats.TxPackets++
+		d.stats.TxBytes += int64(pkt.Size())
+		latency := d.cfg.Delay + d.jitter() + d.crossQueueDelay(sim.Now())
+		deliverAt := sim.Now() + latency
+		if deliverAt < d.lastDelivery {
+			deliverAt = d.lastDelivery // FIFO: no reordering on a wire
 		}
-	})
+		d.lastDelivery = deliverAt
+		d.schedule(pkt, deliverAt)
+	}
+	if d.queue.len() > 0 {
+		d.startService()
+	} else {
+		d.busy = false
+	}
+}
+
+// flight is a packet on the wire, with the key of its delivery event.
+type flight struct {
+	at  time.Duration
+	seq uint64
+	pkt *Packet
+}
+
+// schedule takes a delivery key for pkt at t, exactly as At would, and
+// appends the packet to the in-flight FIFO. Deliveries on one direction
+// never reorder (t >= lastDelivery) and seq only grows, so the FIFO is
+// sorted by key and only its head needs to sit in the simulator queue.
+func (d *linkDir) schedule(pkt *Packet, t time.Duration) {
+	sim := d.link.sim
+	at, seq := sim.key(t)
+	d.inflight.push(flight{at: at, seq: seq, pkt: pkt})
+	sim.live++
+	if d.inflight.len() == 1 {
+		d.queueHead()
+	}
+}
+
+// queueHead pushes the in-flight head under its stored key.
+func (d *linkDir) queueHead() {
+	f := d.inflight.front()
+	d.link.sim.queue.Push(eventq.Entry{At: int64(f.at), Seq: f.seq, Slot: d.deliverSlot})
+}
+
+// deliverHead hands the oldest in-flight packet to the far NIC.
+func (d *linkDir) deliverHead() {
+	f := d.inflight.pop()
+	d.link.sim.live--
+	if d.inflight.len() > 0 {
+		d.queueHead()
+	}
+	d.dst.receive(f.pkt)
 }
 
 func (d *linkDir) perTryLoss(now time.Duration) float64 {
@@ -378,3 +439,48 @@ func (l *Link) SetLoss(d Direction, p float64) { l.dirs[d].cfg.Loss = p }
 
 // SetJitter overrides the delay jitter of a direction.
 func (l *Link) SetJitter(d Direction, std time.Duration) { l.dirs[d].cfg.JitterStd = std }
+
+// ring is a growable FIFO over a circular buffer. Unlike re-slicing a
+// slice from the front, it reuses its storage and zeroes each vacated
+// slot, so a departed packet is not kept reachable by the buffer.
+type ring[T any] struct {
+	buf  []T // len(buf) is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+// front returns the oldest element. The ring must not be empty.
+func (r *ring[T]) front() T { return r.buf[r.head] }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest element. The ring must not be
+// empty.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+func (r *ring[T]) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 16
+	}
+	buf := make([]T, size)
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}

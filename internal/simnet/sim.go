@@ -14,24 +14,57 @@
 package simnet
 
 import (
-	"container/heap"
-	"fmt"
 	"math/rand"
 	"time"
 
+	"vqprobe/internal/eventq"
 	"vqprobe/internal/trace"
 )
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
+//
+// Every scheduled event gets a key (at, seq): its firing time and a
+// sequence number taken from one counter at the moment it is scheduled.
+// Events fire in key order, so simultaneous events run FIFO. The queue
+// holds pointer-free eventq entries; what an entry does when it pops is
+// looked up in the slot table, by kind:
+//
+//   - a closure passed to At or After (cold paths);
+//   - a link direction finishing the packet at the head of its FIFO;
+//   - a link direction delivering the head of its in-flight FIFO;
+//   - a Timer reaching a deadline.
+//
+// The hot kinds allocate nothing per event.
 type Sim struct {
 	now    time.Duration
-	events eventHeap
+	queue  eventq.Heap
+	slots  []slot
+	free   []int32 // unused slot indices
 	seq    uint64
+	live   int // scheduled events that will still fire; see Pending
 	rng    *rand.Rand
 	nextID uint64
 	halted bool
 	tracer *trace.Tracer
+}
+
+type slotKind uint8
+
+const (
+	kindFunc    slotKind = iota // fn runs once; the slot is then freed
+	kindService                 // dir's head-of-line packet leaves the link
+	kindDeliver                 // dir's oldest in-flight packet arrives
+	kindTimer                   // timer's entry pops (live or superseded)
+)
+
+// slot is what a queue entry refers to. Link directions own two
+// permanent slots each; timers own one while they have entries queued.
+type slot struct {
+	kind  slotKind
+	fn    func()
+	dir   *linkDir
+	timer *Timer
 }
 
 // New returns a simulator whose random number generator is seeded with
@@ -63,11 +96,9 @@ func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past is clamped to the present: the event runs at Now.
 func (s *Sim) At(t time.Duration, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
+	i := s.alloc(slot{kind: kindFunc, fn: fn})
+	s.live++
+	s.push(t, i)
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -78,16 +109,74 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	s.At(s.now+d, fn)
 }
 
+// key hands out the (at, seq) key of a newly scheduled event, clamping
+// a time in the past to the present.
+func (s *Sim) key(t time.Duration) (time.Duration, uint64) {
+	if t < s.now {
+		t = s.now
+	}
+	s.seq++
+	return t, s.seq
+}
+
+// push schedules slot i under a fresh key at t.
+func (s *Sim) push(t time.Duration, i int32) {
+	at, seq := s.key(t)
+	s.queue.Push(eventq.Entry{At: int64(at), Seq: seq, Slot: i})
+}
+
+// alloc stores sl in a free slot and returns its index.
+func (s *Sim) alloc(sl slot) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[i] = sl
+		return i
+	}
+	s.slots = append(s.slots, sl)
+	return int32(len(s.slots) - 1)
+}
+
+// release clears slot i (dropping its references) and recycles it.
+func (s *Sim) release(i int32) {
+	s.slots[i] = slot{}
+	s.free = append(s.free, i)
+}
+
+// dispatch pops the earliest queue entry and acts on it. It reports
+// whether a live event fired: a superseded timer entry pops without
+// firing anything.
+func (s *Sim) dispatch() bool {
+	e := s.queue.Pop()
+	s.now = time.Duration(e.At)
+	sl := &s.slots[e.Slot]
+	switch sl.kind {
+	case kindFunc:
+		fn := sl.fn
+		s.release(e.Slot)
+		s.live--
+		fn()
+		return true
+	case kindService:
+		sl.dir.serviceDone()
+		return true
+	case kindDeliver:
+		sl.dir.deliverHead()
+		return true
+	default:
+		return sl.timer.pop(e)
+	}
+}
+
 // Step executes the earliest pending event and returns true, or returns
 // false when no events remain.
 func (s *Sim) Step() bool {
-	if s.events.Len() == 0 {
-		return false
+	for s.queue.Len() > 0 {
+		if s.dispatch() {
+			return true
+		}
 	}
-	ev := heap.Pop(&s.events).(*event)
-	s.now = ev.at
-	ev.fn()
-	return true
+	return false
 }
 
 // Run processes events until the queue drains or virtual time would pass
@@ -95,12 +184,12 @@ func (s *Sim) Step() bool {
 // virtual time at which processing stopped.
 func (s *Sim) Run(until time.Duration) time.Duration {
 	s.halted = false
-	for !s.halted && s.events.Len() > 0 {
-		if s.events[0].at > until {
+	for !s.halted && s.queue.Len() > 0 {
+		if time.Duration(s.queue.Min().At) > until {
 			s.now = until
 			return s.now
 		}
-		s.Step()
+		s.dispatch()
 	}
 	if s.now < until && !s.halted {
 		s.now = until
@@ -119,74 +208,13 @@ func (s *Sim) RunAll() {
 // Pending events stay queued and a subsequent Run resumes them.
 func (s *Sim) Halt() { s.halted = true }
 
-// Pending reports how many events are queued.
-func (s *Sim) Pending() int { return s.events.Len() }
+// Pending reports how many events will still fire if the simulation
+// runs on: closures, packets in service and in flight on every link,
+// and armed timers. Superseded timer deadlines are not counted.
+func (s *Sim) Pending() int { return s.live }
 
 // nextPacketID hands out unique packet identifiers for tracing.
 func (s *Sim) nextPacketID() uint64 {
 	s.nextID++
 	return s.nextID
 }
-
-type event struct {
-	at  time.Duration
-	seq uint64 // tie-break: FIFO among simultaneous events
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// Ticker invokes fn every interval of virtual time until Stop is called.
-// It is the building block for per-second samplers (RSSI, CPU, NIC
-// counters) used by the probes.
-type Ticker struct {
-	sim      *Sim
-	interval time.Duration
-	fn       func(now time.Duration)
-	stopped  bool
-}
-
-// NewTicker starts a ticker with the given interval. The first tick fires
-// one interval from now. interval must be positive.
-func NewTicker(sim *Sim, interval time.Duration, fn func(now time.Duration)) *Ticker {
-	if interval <= 0 {
-		panic(fmt.Sprintf("simnet: non-positive ticker interval %v", interval))
-	}
-	t := &Ticker{sim: sim, interval: interval, fn: fn}
-	t.schedule()
-	return t
-}
-
-func (t *Ticker) schedule() {
-	t.sim.After(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn(t.sim.Now())
-		if !t.stopped {
-			t.schedule()
-		}
-	})
-}
-
-// Stop cancels future ticks. A tick already dispatched for the current
-// instant may still run.
-func (t *Ticker) Stop() { t.stopped = true }

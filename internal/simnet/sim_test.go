@@ -83,6 +83,68 @@ func TestHalt(t *testing.T) {
 	}
 }
 
+// TestPendingCountsLiveEvents: Pending counts the packet in service,
+// packets in flight (of which only the head sits in the queue), armed
+// timers and closures, and ignores superseded and stopped timer
+// deadlines that are still queued.
+func TestPendingCountsLiveEvents(t *testing.T) {
+	s := New(1)
+	// 8 Mbit/s, 10ms delay: 1000B wire packets serialize in 1ms each.
+	a, _, _, got := twoHosts(s, LinkConfig{Rate: 8e6, Delay: 10 * time.Millisecond})
+	for i := 0; i < 3; i++ {
+		a.Send(a.NICs()[0], s.NewPacket(FlowKey{Proto: ProtoUDP, Src: 1, Dst: 2}, 1000-HeaderBytes, nil))
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d with one packet in service, want 1", s.Pending())
+	}
+	s.Run(2500 * time.Microsecond)
+	// Two packets in flight (due at 11ms and 12ms), one in service.
+	if s.Pending() != 3 {
+		t.Fatalf("Pending = %d with 2 in flight + 1 in service, want 3", s.Pending())
+	}
+
+	var rearmedAt, stoppedAt []time.Duration
+	rearmed := s.NewTimer(func() { rearmedAt = append(rearmedAt, s.Now()) })
+	stopped := s.NewTimer(func() { stoppedAt = append(stoppedAt, s.Now()) })
+	rearmed.Reset(5 * time.Millisecond)
+	rearmed.Reset(30 * time.Millisecond) // supersedes the queued 5ms deadline
+	stopped.Reset(time.Millisecond)
+	stopped.Stop()
+	stopped.Stop() // stopping twice must not undercount
+	closureRan := false
+	s.After(20*time.Millisecond, func() { closureRan = true })
+	if s.Pending() != 5 {
+		t.Fatalf("Pending = %d, want 3 packets + 1 re-armed timer + 1 closure = 5", s.Pending())
+	}
+
+	// Past the superseded 5ms deadline: it popped without firing.
+	s.Run(10 * time.Millisecond)
+	if len(rearmedAt) != 0 || len(stoppedAt) != 0 {
+		t.Fatalf("superseded/stopped deadline fired: rearmed=%v stopped=%v", rearmedAt, stoppedAt)
+	}
+	if s.Pending() != 5 {
+		t.Fatalf("Pending = %d after superseded deadline popped, want 5", s.Pending())
+	}
+	s.RunAll()
+	if s.Pending() != 0 {
+		t.Errorf("Pending = %d after draining, want 0", s.Pending())
+	}
+	if len(*got) != 3 || !closureRan {
+		t.Errorf("delivered %d packets (want 3), closure ran %t", len(*got), closureRan)
+	}
+	if want := 2500*time.Microsecond + 30*time.Millisecond; len(rearmedAt) != 1 || rearmedAt[0] != want {
+		t.Errorf("re-armed timer fired at %v, want once at %v", rearmedAt, want)
+	}
+	if len(stoppedAt) != 0 {
+		t.Errorf("stopped timer fired at %v", stoppedAt)
+	}
+	// Closures and timers hand their slots back once nothing refers to
+	// them; only the link's four permanent slots stay taken.
+	if taken := len(s.slots) - len(s.free); taken != 4 {
+		t.Errorf("%d slots still taken after draining, want the link's 4", taken)
+	}
+}
+
 func TestTicker(t *testing.T) {
 	s := New(1)
 	var ticks []time.Duration
@@ -447,6 +509,71 @@ func TestFIFODeliveryOrder(t *testing.T) {
 	for i := range got {
 		if got[i] != sent[i] {
 			t.Fatalf("reordered at %d: got %d want %d", i, got[i], sent[i])
+		}
+	}
+}
+
+// forwardingPath builds host -> router -> dst over two links, the
+// topology of BenchmarkSimnetForwarding.
+func forwardingPath(s *Sim) (send func(), links [2]*Link) {
+	h := s.NewNode("h", 1)
+	r := s.NewNode("r", 100)
+	d := s.NewNode("d", 2)
+	hn := h.AddNIC("0")
+	r0, r1 := r.AddNIC("0"), r.AddNIC("1")
+	dn := d.AddNIC("0")
+	links[0] = ConnectSym(s, "a", hn, r0, LinkConfig{Rate: 1e9, Delay: time.Millisecond, QueueBytes: 1 << 30})
+	links[1] = ConnectSym(s, "b", r1, dn, LinkConfig{Rate: 1e9, Delay: time.Millisecond, QueueBytes: 1 << 30})
+	rt := NewRouter(r)
+	rt.AddRoute(2, r1)
+	d.SetHandler(HandlerFunc(func(*NIC, *Packet) {}))
+	flow := FlowKey{Proto: ProtoUDP, Src: 1, Dst: 2}
+	return func() { h.Send(hn, s.NewPacket(flow, 1460, nil)) }, links
+}
+
+// TestForwardingAllocatesOnlyPackets pins the event core's allocation
+// budget: once the queues have grown, forwarding a burst through two
+// links and a router allocates the packets themselves and nothing else
+// — no per-event closure, no escaping queue entry, no FIFO regrowth.
+func TestForwardingAllocatesOnlyPackets(t *testing.T) {
+	s := New(1)
+	send, _ := forwardingPath(s)
+	const burst = 8
+	run := func() {
+		for i := 0; i < burst; i++ {
+			send()
+		}
+		s.RunAll()
+	}
+	run() // warm up: grow the rings, the heap and the slot table
+	if allocs := testing.AllocsPerRun(200, run); allocs > burst {
+		t.Errorf("forwarding %d packets allocated %.1f times, want %d (the packets)", burst, allocs, burst)
+	}
+}
+
+// TestLinkFIFOReleasesDepartedPackets: once a packet has left a link's
+// queue and been delivered, neither FIFO's storage still references it.
+// (Re-slicing the queue from the front used to keep every departed
+// packet reachable until the slice happened to be reallocated.)
+func TestLinkFIFOReleasesDepartedPackets(t *testing.T) {
+	s := New(1)
+	send, links := forwardingPath(s)
+	for i := 0; i < 20; i++ {
+		send()
+	}
+	s.RunAll()
+	for _, l := range links {
+		for _, d := range l.dirs {
+			for i, p := range d.queue.buf {
+				if p != nil {
+					t.Errorf("link %s queue slot %d still holds packet #%d", l.name, i, p.ID)
+				}
+			}
+			for i, f := range d.inflight.buf {
+				if f.pkt != nil {
+					t.Errorf("link %s in-flight slot %d still holds packet #%d", l.name, i, f.pkt.ID)
+				}
+			}
 		}
 	}
 }

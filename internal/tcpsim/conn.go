@@ -105,9 +105,8 @@ type Conn struct {
 	timedAt      time.Duration
 	timedValid   bool
 
-	// Timers are invalidated by bumping the generation counter.
-	rtoGen        uint64
-	persistGen    uint64
+	rtoTimer      *simnet.Timer
+	persistTimer  *simnet.Timer
 	synRetries    int
 	rtoConsecutiv int
 
@@ -116,16 +115,16 @@ type Conn struct {
 	rcvBuf int // receive buffer capacity (advertised window ceiling)
 	// Delayed-ACK state (enabled via SetDelayedAck): in-order segments
 	// are acknowledged every second segment or after delayedAckTimeout.
-	delayedAck    bool
-	unackedSegs   int
-	delayedAckGen uint64
-	buffered      int64 // delivered to app but not yet consumed
-	ooo           []span
-	finSeq        int64 // sequence of peer FIN, -1 if none seen
-	peerDone      bool
-	autoRead      bool
-	lowWnd        bool // window dropped below an MSS since last update ACK
-	handshake     time.Duration
+	delayedAck  bool
+	unackedSegs int
+	delAckTimer *simnet.Timer
+	buffered    int64 // delivered to app but not yet consumed
+	ooo         []span
+	finSeq      int64 // sequence of peer FIN, -1 if none seen
+	peerDone    bool
+	autoRead    bool
+	lowWnd      bool // window dropped below an MSS since last update ACK
+	handshake   time.Duration
 
 	// Application callbacks; any may be nil.
 	OnEstablished func()
@@ -153,6 +152,10 @@ func newConn(h *Host, flow simnet.FlowKey, server bool) *Conn {
 	}
 	c.cwnd = float64(initialCwnd * h.DefaultMSS)
 	c.ssthresh = 1 << 30
+	sim := h.Sim()
+	c.rtoTimer = sim.NewTimer(c.onRTO)
+	c.persistTimer = sim.NewTimer(c.onPersist)
+	c.delAckTimer = sim.NewTimer(c.onDelayedAck)
 	return c
 }
 
@@ -235,8 +238,8 @@ func (c *Conn) Abort(reason string) {
 	}
 	c.state = StateAborted
 	c.tracef("abort", "%s", reason)
-	c.rtoGen++
-	c.persistGen++
+	c.rtoTimer.Stop()
+	c.persistTimer.Stop()
 	c.host.forget(c)
 	if c.OnAbort != nil {
 		c.OnAbort(reason)
@@ -273,7 +276,7 @@ func (c *Conn) establish() {
 	c.handshake = c.sim().Now() - c.handshake
 	c.sndUna, c.sndNxt = 1, 1
 	c.synRetries = 0
-	c.rtoGen++ // cancel handshake timer
+	c.rtoTimer.Stop() // cancel handshake timer
 	c.tracef("established", "handshake=%v", c.handshake)
 	if c.OnEstablished != nil {
 		c.OnEstablished()
@@ -401,7 +404,7 @@ func (c *Conn) processAck(ack int64, wnd int, pure bool) {
 		if c.flight() > 0 {
 			c.scheduleRTO()
 		} else {
-			c.rtoGen++ // nothing outstanding; stop the timer
+			c.rtoTimer.Stop() // nothing outstanding
 		}
 		c.checkSendDone()
 		c.trySend()
@@ -568,8 +571,8 @@ func (c *Conn) maybeDone() {
 	ourSideDone := !c.sendClosed || (c.finSent && c.sndUna == c.dataEnd()+1)
 	if c.peerDone && ourSideDone && c.flight() == 0 {
 		c.state = StateDone
-		c.rtoGen++
-		c.persistGen++
+		c.rtoTimer.Stop()
+		c.persistTimer.Stop()
 		c.host.forget(c)
 	}
 }
@@ -688,7 +691,7 @@ func (c *Conn) retransmitUna() {
 
 func (c *Conn) ackNow() {
 	c.unackedSegs = 0
-	c.delayedAckGen++ // cancel any pending delayed ACK
+	c.delAckTimer.Stop() // cancel any pending delayed ACK
 	c.sendPure(simnet.FlagACK)
 }
 
@@ -708,14 +711,13 @@ func (c *Conn) ackInOrder() {
 		c.ackNow()
 		return
 	}
-	c.delayedAckGen++
-	gen := c.delayedAckGen
-	c.sim().After(delayedAckTimeout, func() {
-		if c.delayedAckGen == gen && c.unackedSegs > 0 &&
-			c.state != StateAborted && c.state != StateDone {
-			c.ackNow()
-		}
-	})
+	c.delAckTimer.Reset(delayedAckTimeout)
+}
+
+func (c *Conn) onDelayedAck() {
+	if c.unackedSegs > 0 && !c.dead() {
+		c.ackNow()
+	}
 }
 
 func (c *Conn) sendPure(flags simnet.TCPFlags) {
@@ -774,15 +776,7 @@ func (c *Conn) sampleRTT(ack int64) {
 	}
 }
 
-func (c *Conn) scheduleRTO() {
-	c.rtoGen++
-	gen := c.rtoGen
-	c.sim().After(c.rto, func() {
-		if c.rtoGen == gen {
-			c.onRTO()
-		}
-	})
-}
+func (c *Conn) scheduleRTO() { c.rtoTimer.Reset(c.rto) }
 
 func (c *Conn) onRTO() {
 	switch c.state {
@@ -830,20 +824,18 @@ func (c *Conn) onRTO() {
 	}
 }
 
-func (c *Conn) schedulePersist() {
-	c.persistGen++
-	gen := c.persistGen
-	c.sim().After(persistDelay, func() {
-		if c.persistGen != gen || c.state != StateEstablished {
-			return
-		}
-		if c.peerWnd == 0 && c.flight() == 0 && c.sndNxt < c.dataEnd() {
-			// Window probe: one byte beyond the edge.
-			c.sendData(c.sndNxt, 1, false)
-			c.sndNxt++
-			c.schedulePersist()
-		}
-	})
+func (c *Conn) schedulePersist() { c.persistTimer.Reset(persistDelay) }
+
+func (c *Conn) onPersist() {
+	if c.state != StateEstablished {
+		return
+	}
+	if c.peerWnd == 0 && c.flight() == 0 && c.sndNxt < c.dataEnd() {
+		// Window probe: one byte beyond the edge.
+		c.sendData(c.sndNxt, 1, false)
+		c.sndNxt++
+		c.schedulePersist()
+	}
 }
 
 func maxf(a, b float64) float64 {

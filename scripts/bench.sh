@@ -7,8 +7,9 @@
 #                            (fleet sessions/sec), reports/BENCH_PR8.json
 #                            (batch/forest inference + snapshot load),
 #                            reports/BENCH_PR9.json (self-lint cold vs
-#                            cached-warm) and reports/BENCH_PR10.json
-#                            (router throughput + failover latency)
+#                            cached-warm), reports/BENCH_PR10.json
+#                            (router throughput + failover latency) and
+#                            reports/BENCH_PR12.json (simulator core)
 #   scripts/bench.sh check   quick run compared against the committed
 #                            baselines; fails on a gross regression
 #                            (the CI smoke guard)
@@ -26,7 +27,13 @@
 # set drives full /diagnose round trips through an in-process vqroute
 # handler over loopback replicas: rows/s is proxy throughput, and the
 # failover bench's ns/op is the detect-and-re-route latency for a
-# batch whose sticky replica rejects it (docs/ROUTING.md).
+# batch whose sticky replica rejects it (docs/ROUTING.md). The
+# simulator set times the packet-level testbed from the event core up:
+# one packet through two links and a router, one 1 MB TCP transfer,
+# and one fully labelled video session (docs/PERFORMANCE.md).
+#
+# Every report records the host it ran on under "_env" (nproc,
+# GOMAXPROCS, Go version, CPU); `compare` ignores that key.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +47,8 @@ LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
 LINT_BASELINE=reports/BENCH_PR9.json
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
 ROUTE_BASELINE=reports/BENCH_PR10.json
+SIM_BENCHES='BenchmarkSimnetForwarding|BenchmarkTCPTransfer|BenchmarkSessionSimulation'
+SIM_BASELINE=reports/BENCH_PR12.json
 MODE="${1:-run}"
 
 run_bench() { # $1: -benchtime value
@@ -60,6 +69,10 @@ run_lint_bench() { # always 1x: one cold iteration type-checks the whole module 
 
 run_route_bench() { # $1: -benchtime value (duration-based: one iteration = one HTTP round trip, ~0.1–1 ms)
   go test -run '^$' -bench "^(${ROUTE_BENCHES})\$" -benchmem -benchtime "$1" ./internal/route/
+}
+
+run_sim_bench() { # $1: -benchtime value (duration-based: ~0.5 µs to ~10 ms per iteration)
+  go test -run '^$' -bench "^(${SIM_BENCHES})\$" -benchmem -benchtime "$1" .
 }
 
 case "$MODE" in
@@ -84,6 +97,10 @@ run)
   printf '%s\n' "$route_out"
   printf '%s\n' "$route_out" | python3 scripts/bench_report.py parse >"$ROUTE_BASELINE"
   echo "wrote $ROUTE_BASELINE"
+  sim_out="$(run_sim_bench 1s)"
+  printf '%s\n' "$sim_out"
+  printf '%s\n' "$sim_out" | python3 scripts/bench_report.py parse >"$SIM_BASELINE"
+  echo "wrote $SIM_BASELINE"
   ;;
 check)
   # 100x: enough iterations to keep the sub-µs benches out of warmup
@@ -112,6 +129,10 @@ check)
   printf '%s\n' "$route_out"
   printf '%s\n' "$route_out" | python3 scripts/bench_report.py parse |
     python3 scripts/bench_report.py compare "$ROUTE_BASELINE"
+  sim_out="$(run_sim_bench 200ms)"
+  printf '%s\n' "$sim_out"
+  printf '%s\n' "$sim_out" | python3 scripts/bench_report.py parse |
+    python3 scripts/bench_report.py compare "$SIM_BASELINE"
   ;;
 *)
   echo "usage: scripts/bench.sh [run|check]" >&2

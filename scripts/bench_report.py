@@ -3,12 +3,15 @@
 
   bench_report.py parse             stdin: `go test -bench` output
                                     stdout: {name: {ns_op, b_op, allocs_op}}
+                                    plus "_env": the host the run measured
   bench_report.py compare BASELINE  stdin: a report produced by `parse`
                                     exits 1 when a benchmark regressed past
                                     the tolerances vs the committed baseline
 """
 import json
+import os
 import re
+import subprocess
 import sys
 
 # Smoke tolerances: wall-clock is noisy on shared CI runners, so only a
@@ -34,9 +37,47 @@ PREDICTION_BENCHES = {
 }
 
 
+# Report keys that are not benchmarks; `compare` skips them.
+ENV_KEY = "_env"
+GOMAXPROCS_SUFFIX = re.compile(r"^Benchmark\w+-(\d+)\s")
+
+
+def go_version():
+    try:
+        return subprocess.run(
+            ["go", "env", "GOVERSION"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def host_env(cpu, gomaxprocs):
+    """The host a report was measured on: figures from different hosts
+    are not comparable, so every BENCH file carries this stamp."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:
+        nproc = os.cpu_count()
+    return {
+        "nproc": nproc,
+        # `go test` suffixes a benchmark name with -N when GOMAXPROCS
+        # is N > 1 and leaves it bare at 1.
+        "gomaxprocs": gomaxprocs,
+        "go_version": go_version(),
+        "cpu": cpu,
+    }
+
+
 def parse(stream):
     out = {}
+    cpu = "unknown"
+    gomaxprocs = 1
     for line in stream:
+        if line.startswith("cpu: "):
+            cpu = line[len("cpu: "):].strip()
+        g = GOMAXPROCS_SUFFIX.match(line)
+        if g:
+            gomaxprocs = int(g.group(1))
         m = LINE.match(line)
         if m:
             entry = {
@@ -71,6 +112,8 @@ def parse(stream):
     warm = out.get("BenchmarkSelfLintWarm")
     if cold and warm and warm["ns_op"] > 0:
         warm["cache_speedup"] = round(cold["ns_op"] / warm["ns_op"], 1)
+    if out:
+        out[ENV_KEY] = host_env(cpu, gomaxprocs)
     return out
 
 
@@ -97,6 +140,8 @@ def main():
                 f"{warm.get('cache_speedup')} < 5x over cold"
             )
         for name, base in sorted(baseline.items()):
+            if name == ENV_KEY:
+                continue
             cur = current.get(name)
             if cur is None:
                 failures.append(f"{name}: missing from current run")
@@ -116,7 +161,8 @@ def main():
             for f in failures:
                 print("  " + f, file=sys.stderr)
             sys.exit(1)
-        print(f"benchmarks within tolerance of baseline ({len(baseline)} compared)")
+        compared = len([n for n in baseline if n != ENV_KEY])
+        print(f"benchmarks within tolerance of baseline ({compared} compared)")
         return
 
     sys.exit(__doc__)
