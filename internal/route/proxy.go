@@ -1,8 +1,6 @@
 package route
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,18 +10,20 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// maxLine bounds one NDJSON line in either direction (1 MiB, matching
-// vqserve's ingest bound).
-const maxLine = 1 << 20
+	"vqprobe/internal/rowcodec"
+	"vqprobe/internal/serve"
+)
 
 // rowRef is one input row in flight: its slot in the merged response
 // and the raw line forwarded verbatim to whichever replica serves it.
+// from/to locate the line in its replica's sub-batch body while the
+// request is still being read.
 type rowRef struct {
-	slot int
-	id   string
-	line []byte
+	slot     int
+	id       string
+	from, to int
+	line     []byte
 }
 
 // errLine renders the router's own per-row answer in the same NDJSON
@@ -129,11 +129,15 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		t0 = rt.cfg.Clock()
 	}
 
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc, release := rowcodec.NewScanner(r.Body)
+	defer release()
+	// Each accepted line is copied once, into the pooled sub-batch body
+	// of the replica it routes to. The handler keeps a reference on each
+	// body until every sub-batch and failover is done with its lines.
 	var (
 		results [][]byte
 		perRep  = make([][]rowRef, len(rt.reps))
+		bodies  = make([]*[]byte, len(rt.reps))
 		lineno  int
 		rowsIn  int
 		shedN   int
@@ -145,14 +149,12 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var hdr struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(line, &hdr); err != nil {
-			// A line the router cannot parse would fail at the replica
-			// too; answering it locally keeps true input line numbers,
-			// which sub-batches would otherwise renumber.
-			results = append(results, errLine("", fmt.Sprintf("line %d: %v", lineno, err)))
+		// The replica's own decoder decides validity, with no feature
+		// parsed: a line it would reject is answered here, with the
+		// client's line number, which sub-batches would renumber.
+		hdr, _, err := serve.DecodeLine(line, nil, nil)
+		if err != nil {
+			results = append(results, errLine("", rowcodec.LineError(lineno, err)))
 			continue
 		}
 		rowsIn++
@@ -164,7 +166,13 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			results[slot] = errLine(hdr.ID, shedMsg)
 			continue
 		}
-		perRep[idx] = append(perRep[idx], rowRef{slot: slot, id: hdr.ID, line: append([]byte(nil), line...)})
+		if bodies[idx] == nil {
+			bodies[idx] = rowcodec.GetBuf()
+		}
+		buf := bodies[idx]
+		from := len(*buf)
+		*buf = append(append(*buf, line...), '\n')
+		perRep[idx] = append(perRep[idx], rowRef{slot: slot, id: hdr.ID, from: from, to: len(*buf) - 1})
 	}
 	if err := sc.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -193,10 +201,16 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if len(perRep[idx]) == 0 {
 			continue
 		}
+		for i := range perRep[idx] {
+			rw := &perRep[idx][i]
+			rw.line = (*bodies[idx])[rw.from:rw.to:rw.to]
+		}
+		body := rowcodec.NewBody(bodies[idx])
+		defer body.Release()
 		wg.Add(1)
 		go func(idx int, rows []rowRef) {
 			defer wg.Done()
-			rt.proxyRows(ctx, idx, rows, results)
+			rt.proxyRows(ctx, idx, rows, body, results)
 		}(idx, perRep[idx])
 	}
 	wg.Wait()
@@ -234,12 +248,14 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // *unserved* tail over to the least-loaded healthy peer — rows already
 // answered stay answered, so every row the router acknowledged is
 // classified exactly once regardless of how many replicas die on it.
-func (rt *Router) proxyRows(ctx context.Context, idx int, rows []rowRef, results [][]byte) {
+// body is the sub-batch as read; a failover sends a body of its own.
+func (rt *Router) proxyRows(ctx context.Context, idx int, rows []rowRef, body *rowcodec.Body, results [][]byte) {
 	tried := make([]bool, len(rt.reps))
 	for {
 		tried[idx] = true
 		rep := rt.reps[idx]
-		unserved, reason := rt.sendBatch(ctx, rep, rows, results)
+		unserved, reason := rt.sendBatch(ctx, rep, rows, body, results)
+		body = nil
 		if len(unserved) == 0 {
 			rt.noteServed(rep, len(rows))
 			return
@@ -276,9 +292,9 @@ func (rt *Router) proxyRows(ctx context.Context, idx int, rows []rowRef, results
 // sendBatch posts one sub-batch to a replica and maps its NDJSON
 // answer lines back onto the rows' slots, in order — vqserve preserves
 // input order, which is what makes the k-th answer line the k-th
-// row's. It returns the unserved tail (empty on success) and the
-// failure reason.
-func (rt *Router) sendBatch(ctx context.Context, rep *replica, rows []rowRef, results [][]byte) ([]rowRef, string) {
+// row's. body holds the rows' lines; nil builds it from them. It
+// returns the unserved tail (empty on success) and the failure reason.
+func (rt *Router) sendBatch(ctx context.Context, rep *replica, rows []rowRef, body *rowcodec.Body, results [][]byte) ([]rowRef, string) {
 	n := int64(len(rows))
 	rep.inflight.Add(n)
 	rep.inflightG.Set(float64(rep.inflight.Load()))
@@ -287,15 +303,20 @@ func (rt *Router) sendBatch(ctx context.Context, rep *replica, rows []rowRef, re
 		rep.inflightG.Set(float64(rep.inflight.Load()))
 	}()
 
-	var buf bytes.Buffer
-	for _, rw := range rows {
-		buf.Write(rw.line)
-		buf.WriteByte('\n')
+	if body == nil {
+		buf := rowcodec.GetBuf()
+		for _, rw := range rows {
+			*buf = append(append(*buf, rw.line...), '\n')
+		}
+		body = rowcodec.NewBody(buf)
+		defer body.Release()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/diagnose", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/diagnose", body.Reader())
 	if err != nil {
 		return rows, err.Error()
 	}
+	req.ContentLength = int64(body.Len())
+	req.GetBody = func() (io.ReadCloser, error) { return body.Reader(), nil }
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	resp, err := rt.client.Do(req)
 	if err != nil {
@@ -306,8 +327,8 @@ func (rt *Router) sendBatch(ctx context.Context, rep *replica, rows []rowRef, re
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return rows, fmt.Sprintf("replica HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc, release := rowcodec.NewScanner(resp.Body)
+	defer release()
 	served := 0
 	for served < len(rows) && sc.Scan() {
 		line := sc.Bytes()

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"vqprobe/internal/rowcodec"
 )
 
 // StageResult records what happened to one replica during a rollout.
@@ -188,8 +189,8 @@ func (rt *Router) canaryProbe(ctx context.Context, rep *replica) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("canary HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc, release := rowcodec.NewScanner(resp.Body)
+	defer release()
 	rows := 0
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {

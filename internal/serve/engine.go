@@ -22,6 +22,7 @@ import (
 	"vqprobe/internal/metrics"
 	"vqprobe/internal/ml"
 	"vqprobe/internal/ml/c45"
+	"vqprobe/internal/rowcodec"
 	"vqprobe/internal/trace"
 )
 
@@ -37,11 +38,17 @@ type Model struct {
 	// explain path needs the recorded traversal, which an ensemble vote
 	// does not have. Nil for forest models.
 	tree *c45.CompiledTree
-	// plan holds, per schema row, the feature name and its construction
-	// transform, so normalization touches only the features the model
+	// plan holds, per schema row, its construction transform over the
+	// raw row, so normalization touches only the features the model
 	// consults instead of scanning the full raw vector.
 	plan []rowPlan
-	info ModelInfo
+	// keys is the raw-row layout every request is projected onto: the
+	// schema's features in schema order, then each divisor feature the
+	// schema does not itself hold. features is how many leading slots
+	// are schema features.
+	keys     *rowcodec.Keys
+	features int
+	info     ModelInfo
 }
 
 // ModelInfo describes the serving snapshot for /healthz and the
@@ -62,8 +69,8 @@ type ModelInfo struct {
 
 // rowPlan is the precomputed normalization of one schema row.
 type rowPlan struct {
-	name    string
-	divisor string // per-instance divisor feature, "" for none
+	src     int // raw-row slot of the feature
+	div     int // raw-row slot of its per-instance divisor, -1 for none
 	scale   float64
 	dropped bool
 }
@@ -88,10 +95,30 @@ func NewBatchModel(task string, norm *features.Normalizer, bp c45.BatchPredictor
 		kind = "tree"
 	}
 	m.info = ModelInfo{Kind: kind, Trees: bp.Trees(), Nodes: bp.Nodes()}
+	var names []string
+	slot := map[string]int{}
+	slotOf := func(f string) int {
+		i, ok := slot[f]
+		if !ok {
+			i = len(names)
+			slot[f] = i
+			names = append(names, f)
+		}
+		return i
+	}
+	for _, f := range bp.Schema() {
+		slotOf(f)
+	}
+	m.features = len(names)
 	for _, f := range bp.Schema() {
 		p := norm.Plan(f)
-		m.plan = append(m.plan, rowPlan{name: f, divisor: p.Divisor, scale: p.Scale, dropped: p.Dropped})
+		rp := rowPlan{src: slot[f], div: -1, scale: p.Scale, dropped: p.Dropped}
+		if p.Divisor != "" {
+			rp.div = slotOf(p.Divisor)
+		}
+		m.plan = append(m.plan, rp)
 	}
+	m.keys = rowcodec.NewKeys(names)
 	return m
 }
 
@@ -107,30 +134,40 @@ func (m *Model) SetProvenance(hash string, load time.Duration) {
 // Info returns the snapshot's descriptive summary.
 func (m *Model) Info() ModelInfo { return m.info }
 
-// fillRow normalizes the raw vector directly into schema row form,
-// bit-identical to Normalizer.ApplyVector followed by
-// CompiledTree.FillRow but touching only schema features. Reading
-// divisors from the raw vector is safe because divisor features
-// (tcp_total_*, tcp_duration_s) are never themselves scaled, dropped
-// or ratio-normalized by construction.
-func (m *Model) fillRow(raw metrics.Vector, row []float64) {
+// fillRow normalizes a raw row (laid out by m.keys, NaN where the
+// request lacks a feature) into schema row form, bit-identical to
+// Normalizer.ApplyVector followed by CompiledTree.FillRow but touching
+// only schema features. Reading divisors from the raw row is safe
+// because divisor features (tcp_total_*, tcp_duration_s) are never
+// themselves scaled, dropped or ratio-normalized by construction.
+func (m *Model) fillRow(raw, row []float64) {
 	for i := range m.plan {
 		p := &m.plan[i]
-		v, ok := raw[p.name]
-		if !ok || p.dropped {
+		v := raw[p.src]
+		if p.dropped || math.IsNaN(v) {
 			row[i] = ml.Missing
 			continue
 		}
 		if p.scale > 0 {
 			v = v / p.scale
 		}
-		if p.divisor != "" {
-			if tot := raw[p.divisor]; tot > 0 {
+		if p.div >= 0 {
+			if tot := raw[p.div]; tot > 0 {
 				v = v / tot
 			}
 		}
 		row[i] = v
 	}
+}
+
+// normalize projects a feature map onto the raw-row layout and fills
+// the schema row from it.
+func (m *Model) normalize(fv metrics.Vector) []float64 {
+	raw := make([]float64, m.keys.Len())
+	m.keys.Project(fv, raw)
+	row := make([]float64, len(m.plan))
+	m.fillRow(raw, row)
+	return row
 }
 
 // Task returns the diagnosis task the model was trained for.
@@ -148,9 +185,7 @@ func (m *Model) Predictor() c45.BatchPredictor { return m.bp }
 // Diagnose classifies one raw (un-normalized) feature vector
 // synchronously, bypassing the ingest pipeline.
 func (m *Model) Diagnose(fv metrics.Vector) Result {
-	row := make([]float64, len(m.plan))
-	m.fillRow(fv, row)
-	cls := m.bp.PredictRow(row)
+	cls := m.bp.PredictRow(m.normalize(fv))
 	sev, cause := ParseClass(cls)
 	return Result{Class: cls, Severity: sev, Cause: cause}
 }
@@ -168,9 +203,7 @@ func (m *Model) DiagnoseExplain(fv metrics.Vector) Result {
 	if m.tree == nil {
 		return Result{Err: errExplainForest}
 	}
-	row := make([]float64, len(m.plan))
-	m.fillRow(fv, row)
-	exp := m.tree.PredictRowExplain(row)
+	exp := m.tree.PredictRowExplain(m.normalize(fv))
 	sev, cause := ParseClass(exp.Class)
 	return Result{Class: exp.Class, Severity: sev, Cause: cause, Explain: exp, Rule: exp.Rule()}
 }
@@ -259,6 +292,8 @@ type Config struct {
 	// classification. A non-nil return fails the request with that
 	// error; a panic exercises the worker's recovery path. This is the
 	// chaos-testing seam (internal/chaos) — leave nil in production.
+	// Rows decoded on the /diagnose fast path reach it with a nil
+	// Features map.
 	InjectFault func(*Request) error
 }
 
@@ -290,7 +325,9 @@ type Request struct {
 	// on the same shard, in submission order.
 	ID string `json:"id"`
 	// Features is the raw (un-normalized) merged feature vector, keys
-	// as produced by the probes / CSV header.
+	// as produced by the probes / CSV header. A /diagnose line decoded
+	// on the fast path (see DecodeLine) carries its values projected
+	// onto the model's raw-row layout instead, and leaves this nil.
 	Features map[string]float64 `json:"features"`
 	// Explain requests the traversed decision path in the result.
 	Explain bool `json:"explain,omitempty"`
@@ -453,14 +490,20 @@ func (e *Engine) LastReloadError() string {
 // Submit enqueues one request. res is written and done invoked exactly
 // once when the request completes; on a non-nil error neither happens.
 func (e *Engine) Submit(req Request, res *Result, done func()) error {
+	return e.submit(job{req: req, res: res, done: done})
+}
+
+// submit enqueues one job on its session's shard, stamping its enqueue
+// time.
+func (e *Engine) submit(j job) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrClosed
 	}
-	sh := e.shards[e.shardFor(req.ID)]
+	sh := e.shards[e.shardFor(j.req.ID)]
 	//lint:ignore virtclock queue-wait timing measures real enqueue latency; serving has no virtual clock
-	j := job{req: req, res: res, done: done, enq: time.Now()}
+	j.enq = time.Now()
 	if e.cfg.Policy == Shed {
 		select {
 		case sh.ch <- j:
@@ -518,24 +561,6 @@ func (e *Engine) nextRetrySeed() uint64 {
 	return splitmix64(e.retrySeed ^ splitmix64(e.retrySeq.Add(1)))
 }
 
-// submitRetry is Submit plus bounded retry on shed (ErrOverloaded)
-// responses — transient overload smooths out, sustained overload still
-// surfaces after RetryMax attempts. Each pause comes from retryDelay:
-// capped doubling with seeded jitter, never a lockstep schedule.
-func (e *Engine) submitRetry(req Request, res *Result, done func()) error {
-	err := e.Submit(req, res, done)
-	if e.cfg.RetryMax <= 0 || !errors.Is(err, ErrOverloaded) {
-		return err
-	}
-	seed := e.nextRetrySeed()
-	for attempt := 0; attempt < e.cfg.RetryMax && errors.Is(err, ErrOverloaded); attempt++ {
-		e.obs.retries.Inc()
-		e.sleep(retryDelay(seed, attempt, e.cfg.RetryBackoff, e.cfg.RetryBackoffMax))
-		err = e.Submit(req, res, done)
-	}
-	return err
-}
-
 // ValidateFeatures rejects feature vectors carrying NaN or ±Inf
 // values. NaN is the pipeline's internal missing-value sentinel: letting
 // it in from a client would silently classify the record down the
@@ -567,20 +592,31 @@ func ValidateFeatures(fv map[string]float64) error {
 // backoff per retry round. A batch with a single shed row therefore
 // completes in roughly one backoff, not N of them.
 func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
-	res := make([]Result, len(reqs))
-	e.obs.inflight.Add(float64(len(reqs)))
-	defer e.obs.inflight.Add(-float64(len(reqs)))
+	return e.runBatch(len(reqs), func(i int) job { return job{req: reqs[i]} })
+}
+
+// runBatch is DiagnoseBatch over n jobs, where at(i) builds the i-th
+// (without its result slot and callback, which runBatch fills in).
+func (e *Engine) runBatch(n int, at func(int) job) []Result {
+	res := make([]Result, n)
+	e.obs.inflight.Add(float64(n))
+	defer e.obs.inflight.Add(-float64(n))
 	var wg sync.WaitGroup
+	submit := func(i int) error {
+		j := at(i)
+		j.res, j.done = &res[i], wg.Done
+		return e.submit(j)
+	}
 	var shed []int // indices still waiting on queue space
-	for i := range reqs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		err := e.Submit(reqs[i], &res[i], wg.Done)
+		err := submit(i)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrOverloaded) && e.cfg.RetryMax > 0:
 			shed = append(shed, i)
 		default:
-			res[i] = Result{ID: reqs[i].ID, Err: err.Error()}
+			res[i] = Result{ID: at(i).req.ID, Err: err.Error()}
 			wg.Done()
 		}
 	}
@@ -590,20 +626,20 @@ func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 		remaining := shed[:0]
 		for _, i := range shed {
 			e.obs.retries.Inc()
-			err := e.Submit(reqs[i], &res[i], wg.Done)
+			err := submit(i)
 			switch {
 			case err == nil:
 			case errors.Is(err, ErrOverloaded):
 				remaining = append(remaining, i)
 			default:
-				res[i] = Result{ID: reqs[i].ID, Err: err.Error()}
+				res[i] = Result{ID: at(i).req.ID, Err: err.Error()}
 				wg.Done()
 			}
 		}
 		shed = remaining
 	}
 	for _, i := range shed {
-		res[i] = Result{ID: reqs[i].ID, Err: ErrOverloaded.Error()}
+		res[i] = Result{ID: at(i).req.ID, Err: ErrOverloaded.Error()}
 		wg.Done()
 	}
 	wg.Wait()

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
-)
 
-// maxLine bounds one NDJSON request line (1 MiB).
-const maxLine = 1 << 20
+	"vqprobe/internal/rowcodec"
+)
 
 // Handler returns the engine's HTTP surface:
 //
@@ -78,19 +75,48 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// DecodeLine decodes one /diagnose request line. A line rowcodec.Scan
+// accepts comes back with the second result true: the Request has the
+// id and explain flag and a nil Features map, and raw holds the values
+// projected onto keys (NaN where absent). Any other line is decoded by
+// encoding/json into the Request; the error is then its verdict, and
+// its text is what both the router and the replica report for the
+// line. raw must hold keys.Len() values.
+func DecodeLine(line []byte, keys *rowcodec.Keys, raw []float64) (Request, bool, error) {
+	if id, explain, ok := rowcodec.Scan(line, keys, raw); ok {
+		return Request{ID: id, Explain: explain}, true, nil
+	}
+	var req Request // escapes to encoding/json: declared here, it costs the fast path nothing
+	err := json.Unmarshal(line, &req)
+	return req, false, err
+}
+
 func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST NDJSON to /diagnose", http.StatusMethodNotAllowed)
 		return
 	}
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc, release := rowcodec.NewScanner(r.Body)
+	defer release()
+	// Fast-path rows are projected onto the snapshot current at decode
+	// time; a worker holding a newer one re-projects them from their
+	// retained bytes, kept in one pooled arena until the batch is done.
+	m := e.model.Load()
+	var keys *rowcodec.Keys
+	if m != nil {
+		keys = m.keys
+	}
+	k := keys.Len()
+	arena := rowcodec.GetBuf()
+	defer rowcodec.PutBuf(arena)
 
 	// Decode every line first so one malformed line fails fast with a
 	// per-line error instead of poisoning the whole batch.
 	var (
 		results []Result
-		reqs    []Request
+		jobs    []job
+		fast    []fastRow
+		raws    []float64
 		slots   []int // result index per submitted request
 		lineno  int   // true input line number, blank lines included
 	)
@@ -100,14 +126,23 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			results = append(results, Result{Err: fmt.Sprintf("line %d: %v", lineno, err)})
+		at := len(raws)
+		raws = append(raws, make([]float64, k)...)
+		req, ok, err := DecodeLine(line, keys, raws[at:])
+		if err != nil {
+			raws = raws[:at]
+			results = append(results, Result{Err: rowcodec.LineError(lineno, err)})
 			continue
+		}
+		if ok {
+			fast = append(fast, fastRow{job: len(jobs), from: len(*arena), raw: at})
+			*arena = append(*arena, line...)
+		} else {
+			raws = raws[:at]
 		}
 		slots = append(slots, len(results))
 		results = append(results, Result{})
-		reqs = append(reqs, req)
+		jobs = append(jobs, job{req: req})
 	}
 	if err := sc.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -117,7 +152,17 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty request body", http.StatusBadRequest)
 		return
 	}
-	for i, res := range e.DiagnoseBatch(reqs) {
+	// The arena and the raw rows are final only now that every line is
+	// in: slice them out for the fast-path jobs.
+	for i, f := range fast {
+		to := len(*arena)
+		if i+1 < len(fast) {
+			to = fast[i+1].from
+		}
+		j := &jobs[f.job]
+		j.line, j.raw, j.proj = (*arena)[f.from:to:to], raws[f.raw:f.raw+k:f.raw+k], m
+	}
+	for i, res := range e.runBatch(len(jobs), func(i int) job { return jobs[i] }) {
 		results[slots[i]] = res
 	}
 	// The client may have hung up while the batch was in flight (the
@@ -137,6 +182,11 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// fastRow locates one fast-path row's retained line in the handler's
+// arena and its raw values in the raw-row buffer while the body is
+// still being read.
+type fastRow struct{ job, from, raw int }
 
 func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -3,16 +3,27 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 	"time"
 
 	"vqprobe/internal/metrics"
 	"vqprobe/internal/ml/c45"
+	"vqprobe/internal/rowcodec"
 )
 
 // job is one queued classification.
 type job struct {
-	req  Request
+	req Request
+	// line and raw carry a /diagnose row decoded on the fast path: its
+	// bytes (owned by the handler until done) and its values projected
+	// onto proj's raw-row layout. A worker holding another snapshot
+	// re-projects the row from line, so a row is always classified by
+	// the model the worker holds. Both are nil for rows that carry a
+	// feature map.
+	line []byte
+	raw  []float64
+	proj *Model
 	res  *Result
 	done func()
 	enq  time.Time
@@ -53,9 +64,15 @@ type batchScratch struct {
 	mat   *c45.Matrix
 	bs    c45.BatchScratch
 	idx   []int32
+	raw   []float64 // raw-row staging buffer for re-projected rows
 	fill  []float64 // schema-row staging buffer for prep
 	row   []float64 // scalar-path scratch (explain / no-model jobs)
 	acc   []float64
+
+	// missing counts, per schema feature of model, the rows of the
+	// current batch that lacked it; flushed into missingC once per batch.
+	missing  []uint64
+	missingC []*metrics.Counter
 
 	// Per batched job, parallel to the matrix rows.
 	jobs   []*job
@@ -106,17 +123,26 @@ func (e *Engine) runWorker(sh *shard) {
 func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued time.Time) {
 	if m == nil {
 		for i := range batch {
-			e.process(m, &batch[i], &ws.row, &ws.acc, dequeued)
+			e.process(m, &batch[i], ws, dequeued)
 		}
 		return
 	}
 	if ws.model != m {
 		// First batch against a fresh snapshot: rebuild the pooled matrix
-		// for its schema. Happens once per reload per worker.
+		// and the missing-feature tallies for its schema. Happens once
+		// per reload per worker.
 		ws.model = m
 		ws.mat = m.bp.NewMatrix(cap(batch))
+		ws.raw = make([]float64, m.keys.Len())
 		ws.fill = make([]float64, len(m.plan))
+		ws.missing = make([]uint64, m.features)
+		ws.missingC = ws.missingC[:0]
+		for _, f := range m.keys.Names()[:m.features] {
+			ws.missingC = append(ws.missingC, e.reg.Counter(fmt.Sprintf("vqserve_feature_missing_total{feature=%q}", f),
+				"classified rows that lacked the schema feature"))
+		}
 	}
+	defer ws.flushMissing()
 	ws.mat.Reset()
 	ws.jobs, ws.queueD, ws.normD = ws.jobs[:0], ws.queueD[:0], ws.normD[:0]
 	for i := range batch {
@@ -143,6 +169,45 @@ func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued 
 	}
 }
 
+// rawRow returns j's raw row laid out for snapshot m, counting the
+// schema features it lacks: the row the handler projected when it
+// decoded against m, else the retained line re-scanned or the feature
+// map projected into the worker's scratch.
+func (ws *batchScratch) rawRow(m *Model, j *job) []float64 {
+	raw := j.raw
+	switch {
+	case j.line != nil && j.proj == m:
+	case j.line != nil:
+		// Decoded against a superseded snapshot: project it again.
+		// Whether a line scans does not depend on the key set, so this
+		// cannot fail unless the retained bytes changed under the job.
+		if _, _, ok := rowcodec.Scan(j.line, m.keys, ws.raw); !ok {
+			panic("serve: retained request line no longer decodes")
+		}
+		raw = ws.raw
+	default:
+		m.keys.Project(j.req.Features, ws.raw)
+		raw = ws.raw
+	}
+	for i, v := range raw[:m.features] {
+		if math.IsNaN(v) {
+			ws.missing[i]++
+		}
+	}
+	return raw
+}
+
+// flushMissing adds the batch's missing-feature tallies to their
+// counters: one atomic add per lacking feature per batch, not per row.
+func (ws *batchScratch) flushMissing() {
+	for i, n := range ws.missing {
+		if n > 0 {
+			ws.missingC[i].Add(n)
+			ws.missing[i] = 0
+		}
+	}
+}
+
 // prep runs one job's pre-classification stages — timeout and validity
 // checks, fault injection, normalization — and appends the normalized
 // row to the worker's pooled matrix. Jobs that fail a check are
@@ -151,7 +216,7 @@ func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued 
 // InjectFault) is recovered per-job exactly as on the scalar path.
 func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 	if j.req.Explain {
-		e.process(m, j, &ws.row, &ws.acc, dequeued)
+		e.process(m, j, ws, dequeued)
 		return
 	}
 	defer func() {
@@ -189,7 +254,7 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 	}
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	t0 := time.Now()
-	m.fillRow(metrics.Vector(j.req.Features), ws.fill)
+	m.fillRow(ws.rawRow(m, j), ws.fill)
 	ws.mat.AppendRowValues(ws.fill)
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	ws.normD = append(ws.normD, time.Since(t0))
@@ -270,14 +335,14 @@ func (e *Engine) complete(j *job) {
 }
 
 // process classifies one job against the snapshot m, reusing the
-// worker-local row and accumulator scratch. dequeued is when the
-// worker pulled the job's batch off the shard queue.
+// worker-local scratch. dequeued is when the worker pulled the job's
+// batch off the shard queue.
 //
 // A panic anywhere in classification (or in the caller's done callback)
 // is recovered here and surfaced as a per-request error: one poisoned
 // request must never kill a shard worker, which would strand every
 // later job hashed to that shard and hang Close.
-func (e *Engine) process(m *Model, j *job, row, acc *[]float64, dequeued time.Time) {
+func (e *Engine) process(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 	counted := false // whether requests/errs already accounts for this job
 	defer func() {
 		if r := recover(); r != nil {
@@ -331,13 +396,13 @@ func (e *Engine) process(m *Model, j *job, row, acc *[]float64, dequeued time.Ti
 	}
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	t0 := time.Now()
-	if len(*row) != len(m.plan) {
-		*row = make([]float64, len(m.plan))
+	if len(ws.row) != len(m.plan) {
+		ws.row = make([]float64, len(m.plan))
 	}
-	if len(*acc) != len(m.bp.Classes()) {
-		*acc = make([]float64, len(m.bp.Classes()))
+	if len(ws.acc) != len(m.bp.Classes()) {
+		ws.acc = make([]float64, len(m.bp.Classes()))
 	}
-	m.fillRow(metrics.Vector(j.req.Features), *row)
+	m.fillRow(ws.rawRow(m, j), ws.row)
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	t1 := time.Now()
 	normD := t1.Sub(t0)
@@ -346,12 +411,12 @@ func (e *Engine) process(m *Model, j *job, row, acc *[]float64, dequeued time.Ti
 	var exp *c45.Explanation
 	switch {
 	case j.req.Explain:
-		exp = m.tree.PredictRowExplain(*row)
+		exp = m.tree.PredictRowExplain(ws.row)
 		cls = exp.Class
 	case m.tree != nil:
-		cls = m.tree.PredictRowInto(*row, *acc)
+		cls = m.tree.PredictRowInto(ws.row, ws.acc)
 	default:
-		cls = m.bp.PredictRow(*row)
+		cls = m.bp.PredictRow(ws.row)
 	}
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	t2 := time.Now()

@@ -8,8 +8,9 @@
 #                            (batch/forest inference + snapshot load),
 #                            reports/BENCH_PR9.json (self-lint cold vs
 #                            cached-warm), reports/BENCH_PR10.json
-#                            (router throughput + failover latency) and
-#                            reports/BENCH_PR12.json (simulator core)
+#                            (router throughput + failover latency),
+#                            reports/BENCH_PR12.json (simulator core) and
+#                            reports/BENCH_PR13.json (online row codec)
 #   scripts/bench.sh check   quick run compared against the committed
 #                            baselines; fails on a gross regression
 #                            (the CI smoke guard)
@@ -30,7 +31,12 @@
 # batch whose sticky replica rejects it (docs/ROUTING.md). The
 # simulator set times the packet-level testbed from the event core up:
 # one packet through two links and a router, one 1 MB TCP transfer,
-# and one fully labelled video session (docs/PERFORMANCE.md).
+# and one fully labelled video session (docs/PERFORMANCE.md). The row
+# codec set decodes one real full probe row (358 keys, ~13 KB) per iteration,
+# through the fast path and through encoding/json, and drives 32-row
+# batches of such rows through the router in front of stub replicas
+# that do not decode, so the router's own per-row cost shows
+# (docs/PERFORMANCE.md, "The online row codec").
 #
 # Every report records the host it ran on under "_env" (nproc,
 # GOMAXPROCS, Go version, CPU); `compare` ignores that key.
@@ -49,6 +55,9 @@ ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
 ROUTE_BASELINE=reports/BENCH_PR10.json
 SIM_BENCHES='BenchmarkSimnetForwarding|BenchmarkTCPTransfer|BenchmarkSessionSimulation'
 SIM_BASELINE=reports/BENCH_PR12.json
+CODEC_BENCHES='BenchmarkDecodeRow|BenchmarkDecodeRowJSON'
+CODEC_ROUTE_BENCHES='BenchmarkRouterDiagnoseProbeRows'
+CODEC_BASELINE=reports/BENCH_PR13.json
 MODE="${1:-run}"
 
 run_bench() { # $1: -benchtime value
@@ -73,6 +82,11 @@ run_route_bench() { # $1: -benchtime value (duration-based: one iteration = one 
 
 run_sim_bench() { # $1: -benchtime value (duration-based: ~0.5 µs to ~10 ms per iteration)
   go test -run '^$' -bench "^(${SIM_BENCHES})\$" -benchmem -benchtime "$1" .
+}
+
+run_codec_bench() { # $1: -benchtime value (duration-based: ~15 µs to ~5 ms per iteration)
+  go test -run '^$' -bench "^(${CODEC_BENCHES})\$" -benchmem -benchtime "$1" ./internal/serve/
+  go test -run '^$' -bench "^(${CODEC_ROUTE_BENCHES})\$" -benchmem -benchtime "$1" ./internal/route/
 }
 
 case "$MODE" in
@@ -101,6 +115,10 @@ run)
   printf '%s\n' "$sim_out"
   printf '%s\n' "$sim_out" | python3 scripts/bench_report.py parse >"$SIM_BASELINE"
   echo "wrote $SIM_BASELINE"
+  codec_out="$(run_codec_bench 1s)"
+  printf '%s\n' "$codec_out"
+  printf '%s\n' "$codec_out" | python3 scripts/bench_report.py parse >"$CODEC_BASELINE"
+  echo "wrote $CODEC_BASELINE"
   ;;
 check)
   # 100x: enough iterations to keep the sub-µs benches out of warmup
@@ -133,6 +151,10 @@ check)
   printf '%s\n' "$sim_out"
   printf '%s\n' "$sim_out" | python3 scripts/bench_report.py parse |
     python3 scripts/bench_report.py compare "$SIM_BASELINE"
+  codec_out="$(run_codec_bench 200ms)"
+  printf '%s\n' "$codec_out"
+  printf '%s\n' "$codec_out" | python3 scripts/bench_report.py parse |
+    python3 scripts/bench_report.py compare "$CODEC_BASELINE"
   ;;
 *)
   echo "usage: scripts/bench.sh [run|check]" >&2
